@@ -1,10 +1,10 @@
 """Generic cache array used for L1 and L2 (secondary) caches.
 
-The R4400's secondary cache is direct-mapped; the array nevertheless
-supports set-associativity with LRU so experiments can vary it.  Lines
-carry real data words — the simulator moves actual values through the
-coherence protocol, which is how the test suite can assert that sequential
-consistency holds (stale data is a test failure, not a silent inaccuracy).
+The R4400's primary and secondary caches are direct-mapped (§3.1.1), so
+the array is a slot table: one line per set.  Lines carry real data words
+— the simulator moves actual values through the coherence protocol, which
+is how the test suite can assert that sequential consistency holds (stale
+data is a test failure, not a silent inaccuracy).
 """
 
 from __future__ import annotations
@@ -26,45 +26,30 @@ class CacheLine:
 
 
 class CacheArray:
-    """A set-associative write-back cache array with LRU replacement.
+    """A direct-mapped write-back cache array.
 
-    Sets materialize lazily: a 1 MB L2 has 16K sets, and a 64-processor
-    machine builds 128 cache arrays, so eagerly allocating every set dict
+    Slots materialize lazily: a 1 MB L2 has 16K sets, and a 64-processor
+    machine builds 128 cache arrays, so eagerly allocating every slot
     dominates machine construction time for short runs and sweeps.
     """
 
-    __slots__ = ("name", "line_bytes", "assoc", "num_sets", "_sets")
+    __slots__ = ("name", "line_bytes", "num_sets", "_slots")
 
-    def __init__(
-        self,
-        name: str,
-        size_bytes: int,
-        line_bytes: int,
-        assoc: int = 1,
-    ) -> None:
-        if size_bytes % (line_bytes * assoc):
-            raise ValueError(f"{name}: size not a multiple of line*assoc")
+    def __init__(self, name: str, size_bytes: int, line_bytes: int) -> None:
+        if size_bytes % line_bytes:
+            raise ValueError(f"{name}: size not a multiple of the line size")
         self.name = name
         self.line_bytes = line_bytes
-        self.assoc = assoc
-        self.num_sets = size_bytes // (line_bytes * assoc)
-        # set index -> insertion-ordered dict addr -> CacheLine; last = MRU.
-        # Sets are created on first install and never removed.
-        self._sets: Dict[int, Dict[int, CacheLine]] = {}
-
-    def set_index(self, line_addr: int) -> int:
-        return (line_addr // self.line_bytes) % self.num_sets
+        self.num_sets = size_bytes // line_bytes
+        # set index -> resident CacheLine; an empty slot has no key
+        self._slots: Dict[int, CacheLine] = {}
 
     # ------------------------------------------------------------------
-    def lookup(self, line_addr: int, touch: bool = True) -> Optional[CacheLine]:
-        s = self._sets.get((line_addr // self.line_bytes) % self.num_sets)
-        if s is None:
-            return None
-        line = s.get(line_addr)
-        if line is not None and touch and len(s) > 1:
-            s.pop(line_addr)
-            s[line_addr] = line  # move to MRU
-        return line
+    def lookup(self, line_addr: int) -> Optional[CacheLine]:
+        line = self._slots.get((line_addr // self.line_bytes) % self.num_sets)
+        if line is not None and line.addr == line_addr:
+            return line
+        return None
 
     def install(
         self, line_addr: int, state: CacheState, data: Optional[List]
@@ -74,43 +59,35 @@ class CacheArray:
         A returned victim in DIRTY state must be written back by the caller.
         """
         idx = (line_addr // self.line_bytes) % self.num_sets
-        s = self._sets.get(idx)
-        if s is None:
-            s = self._sets[idx] = {}
-        victim = None
-        existing = s.pop(line_addr, None)
-        if existing is None and len(s) >= self.assoc:
-            lru_addr = next(iter(s))
-            victim = s.pop(lru_addr)
-        line = existing or CacheLine(addr=line_addr, state=state)
-        line.state = state
+        line = self._slots.get(idx)
+        if line is not None and line.addr == line_addr:
+            victim = None
+            line.state = state
+        else:
+            victim = line
+            line = self._slots[idx] = CacheLine(addr=line_addr, state=state)
         if data is not None:
             line.data = data
-        s[line_addr] = line
         return victim
-
-    def remove(self, line_addr: int) -> Optional[CacheLine]:
-        s = self._sets.get((line_addr // self.line_bytes) % self.num_sets)
-        if s is None:
-            return None
-        return s.pop(line_addr, None)
 
     def invalidate(self, line_addr: int) -> Optional[CacheLine]:
         """Drop a line (coherence invalidation); returns it if present."""
-        return self.remove(line_addr)
+        idx = (line_addr // self.line_bytes) % self.num_sets
+        line = self._slots.get(idx)
+        if line is None or line.addr != line_addr:
+            return None
+        del self._slots[idx]
+        return line
 
     def downgrade(self, line_addr: int) -> Optional[CacheLine]:
         """DIRTY -> SHARED (ownership surrendered, data kept)."""
-        line = self.lookup(line_addr, touch=False)
+        line = self.lookup(line_addr)
         if line is not None and line.state is CacheState.DIRTY:
             line.state = CacheState.SHARED
         return line
 
-    # ------------------------------------------------------------------
-    def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets.values())
-
     def lines(self):
         # set-index order, matching the eager-list behaviour exactly
-        for idx in sorted(self._sets):
-            yield from self._sets[idx].values()
+        slots = self._slots
+        for idx in sorted(slots):
+            yield slots[idx]

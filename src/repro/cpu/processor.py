@@ -373,7 +373,7 @@ class Processor:
         if p is None:
             return
         la = p["la"]
-        line = self.l2.lookup(la, touch=False)
+        line = self.l2.lookup(la)
         kind = p["kind"]
         # the line may have arrived or changed while we waited; re-evaluate
         if kind == "read" and line is not None and line.state.readable:
@@ -464,7 +464,7 @@ class Processor:
                     f"P{self.cpu_id}: upgrade ack for {la:#x} without a copy"
                 )
             line.state = CacheState.DIRTY
-            l1 = self.l1.lookup(la, touch=False)
+            l1 = self.l1.lookup(la)
             if l1 is not None:
                 l1.state = CacheState.DIRTY
         else:
@@ -595,7 +595,7 @@ class Processor:
         if v is not None:
             v.cpu_invalidated(self, la)
         if only_shared:
-            line = self.l2.lookup(la, touch=False)
+            line = self.l2.lookup(la)
             if line is not None and line.state is CacheState.DIRTY:
                 # a dirty copy means this processor owns the line; the
                 # invalidation is from an older epoch (see the NC's
@@ -611,7 +611,7 @@ class Processor:
     ) -> None:
         """Memory/NC asks for this CPU's dirty copy.  Responds over the bus
         with the data (or None if the copy is gone — a write-back race)."""
-        line = self.l2.lookup(la, touch=False)
+        line = self.l2.lookup(la)
         if line is None or line.state is not CacheState.DIRTY:
             respond(None)
             return
@@ -620,7 +620,7 @@ class Processor:
             self.invalidate_line(la)
         else:
             self.l2.downgrade(la)
-            l1 = self.l1.lookup(la, touch=False)
+            l1 = self.l1.lookup(la)
             if l1 is not None:
                 l1.state = CacheState.SHARED
         self.stats.counter("interventions").incr()

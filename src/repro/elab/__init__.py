@@ -19,11 +19,10 @@ interpreting it event by event through generic dispatch, this package
 """
 
 from .backend import BACKENDS, backend_name, hooks_active, sync
-from .ir import ELAB_SCHEMA, MachineIR, config_elab_fingerprint
+from .ir import MachineIR, config_elab_fingerprint
 
 __all__ = [
     "BACKENDS",
-    "ELAB_SCHEMA",
     "MachineIR",
     "backend_name",
     "config_elab_fingerprint",

@@ -369,7 +369,7 @@ def generate_source(ir: MachineIR) -> str:
     w('"""Auto-generated specialized simulator core — DO NOT EDIT.')
     w("")
     w("Produced by repro.elab.codegen from a MachineConfig; regenerated")
-    w("whenever the config, package version or elaborator schema changes.")
+    w("whenever the config, package version or generator source changes.")
     w('"""')
     w(f'FINGERPRINT = "{ir.fingerprint}"')
     w(f"INSTRUMENTED = {instr}")
@@ -1237,9 +1237,10 @@ def generate_source(ir: MachineIR) -> str:
     w("    if p is None:")
     w("        return")
     w('    la = p["la"]')
-    w("    # l2.lookup(la, touch=False) inlined: probe without MRU move")
-    w("    s = self.l2._sets.get((la // L2_LINE_B) % L2_SETS)")
-    w("    line = None if s is None else s.get(la)")
+    w("    # l2.lookup(la) inlined: one slot probe plus the tag compare")
+    w("    line = self.l2._slots.get((la // L2_LINE_B) % L2_SETS)")
+    w("    if line is not None and line.addr != la:")
+    w("        line = None")
     w('    kind = p["kind"]')
     w('    if kind == "read":')
     w("        if line is not None and line.state.readable:")

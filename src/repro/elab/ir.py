@@ -11,9 +11,10 @@ rather than recomputed from the config, so the elaborated core specializes
 exactly the topology the interpreter wired (ring sizes, IRI positions,
 sequencing points) with no duplicated construction rules.
 
-The fingerprint hashes the full config plus the package version and the
-elaborator schema number, so a generated module can never be reused across
-a config change or a code change that bumps either.
+The fingerprint hashes the full config, the package version and a digest
+of the generator's own source (this module and :mod:`repro.elab.codegen`),
+so a generated module can never be reused across a config change or a
+change to the code that generates it.
 """
 
 from __future__ import annotations
@@ -21,11 +22,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Tuple
 
-#: bump whenever the generated module's shape or semantics change; stale
-#: on-disk modules are ignored (their fingerprint no longer matches)
-ELAB_SCHEMA = 5
+#: sha256 of the generator's source; any edit to it changes every
+#: fingerprint, so modules a different generator wrote are never loaded
+GENERATOR_DIGEST = hashlib.sha256(
+    b"".join((Path(__file__).parent / n).read_bytes() for n in ("codegen.py", "ir.py"))
+).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -207,7 +211,7 @@ def config_elab_fingerprint(
     protocol: str = "numachine",
 ) -> str:
     """Digest identifying a generated module: full config, package version,
-    elaborator schema, instrumentation axis, transit-fusion axis, coherence
+    generator digest, instrumentation axis, transit-fusion axis, coherence
     protocol.  Any mismatch forces regeneration."""
     import dataclasses
 
@@ -215,7 +219,7 @@ def config_elab_fingerprint(
 
     payload = json.dumps(
         {
-            "elab_schema": ELAB_SCHEMA,
+            "generator": GENERATOR_DIGEST,
             "version": __version__,
             "instrumented": bool(instrumented),
             "fused": bool(fused),

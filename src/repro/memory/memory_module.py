@@ -279,7 +279,7 @@ class MemoryModule:
 
     def _cpu_has_copy(self, global_cpu: int, line_addr: int) -> bool:
         cpu = self.station.cpu_by_global(global_cpu)
-        line = cpu.l2.lookup(line_addr, touch=False)
+        line = cpu.l2.lookup(line_addr)
         return line is not None and line.state.readable
 
     def _owner_station(self, entry: DirEntry) -> int:

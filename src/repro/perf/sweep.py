@@ -15,6 +15,7 @@ boundary.
 
 from __future__ import annotations
 
+import gc
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -70,6 +71,9 @@ def _run_point(point: SweepPoint) -> dict:
     """Worker entry: run one point, return the record as a JSON dict.
 
     Module-level so it pickles under the fork *and* spawn start methods.
+    The component graph is cyclic, so the point's machine is collected here,
+    before the next point is built, rather than whenever the cyclic
+    collector next runs.
     """
     from repro.system.machine import Machine
     from repro.workloads import make
@@ -89,6 +93,8 @@ def _run_point(point: SweepPoint) -> dict:
         cpus=point.cpus,
         variant=point.variant,
     )
+    del machine, workload, result
+    gc.collect()
     return record.to_json()
 
 

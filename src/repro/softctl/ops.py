@@ -179,7 +179,7 @@ def _mem_block_copy_source(mem, pkt: Packet) -> int:
         if e.state is LineState.LI and e.proc_mask:
             owner_idx = e.proc_mask.bit_length() - 1
             cpu = mem.station.cpus[owner_idx]
-            line = cpu.l2.lookup(la, touch=False)
+            line = cpu.l2.lookup(la)
             if line is not None and line.state is CacheState.DIRTY:
                 mem.write_line(la, line.data)
                 cpu.l2.downgrade(la)
@@ -304,13 +304,13 @@ def _soft_prefetch(cpu, args) -> None:
 def _soft_writeback(cpu, args) -> None:
     """Write a dirty line back under software control (keeps a shared copy)."""
     addr = cpu.config.line_addr(args["addr"])
-    line = cpu.l2.lookup(addr, touch=False)
+    line = cpu.l2.lookup(addr)
     if line is None or line.state is not CacheState.DIRTY:
         cpu.resume()
         return
     data = list(line.data)
     cpu.l2.downgrade(addr)
-    l1 = cpu.l1.lookup(addr, touch=False)
+    l1 = cpu.l1.lookup(addr)
     if l1 is not None:
         l1.state = CacheState.SHARED
     target = cpu.station.module_for(addr)
@@ -331,7 +331,7 @@ def _soft_multicast_writeback(cpu, args) -> None:
     is multicast directly into a set of network caches (and to memory)."""
     addr = cpu.config.line_addr(args["addr"])
     stations = args["stations"]
-    line = cpu.l2.lookup(addr, touch=False)
+    line = cpu.l2.lookup(addr)
     if line is None or not line.state.readable:
         cpu.resume()
         return
@@ -478,7 +478,7 @@ def _soft_update_shared(cpu, args) -> None:
     home = cfg.home_station(la)
     local = home == cpu.station.station_id
 
-    line = cpu.l2.lookup(la, touch=False)
+    line = cpu.l2.lookup(la)
     if line is None or not line.state.readable:
         # the updater must hold a copy; fall back to an ordinary write
         cpu.resume(_UPDATE_FALLBACK)

@@ -442,7 +442,7 @@ class Machine:
         la = cfg.line_addr(addr)
         idx = (addr % cfg.line_bytes) // cfg.word_bytes
         for cpu in self.cpus:
-            line = cpu.l2.lookup(la, touch=False)
+            line = cpu.l2.lookup(la)
             if line is not None and line.state is CacheState.DIRTY:
                 return line.data[idx]
         for st in self.stations:

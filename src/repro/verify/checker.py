@@ -353,7 +353,7 @@ class CoherenceChecker:
             for other in self.machine.cpus:
                 if other is cpu:
                     continue
-                line = other.l2.lookup(la, touch=False)
+                line = other.l2.lookup(la)
                 if line is None:
                     continue
                 if line.state is CacheState.DIRTY:
@@ -386,7 +386,7 @@ class CoherenceChecker:
             for other in station.cpus:
                 if other is cpu:
                     continue
-                line = other.l2.lookup(la, touch=False)
+                line = other.l2.lookup(la)
                 if line is not None and line.state is CacheState.DIRTY:
                     self._violate(
                         "writer-reader-exclusion",

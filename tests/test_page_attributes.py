@@ -102,7 +102,7 @@ def test_exclusive_only_page_migrates_between_readers():
     m.run({0: a(), 1: b()})
     la = m.config.line_addr(r.addr(0))
     # only one cache may hold the line at a time
-    holders = [c.cpu_id for c in m.cpus if c.l2.lookup(la, touch=False)]
+    holders = [c.cpu_id for c in m.cpus if c.l2.lookup(la)]
     assert len(holders) == 1
 
 

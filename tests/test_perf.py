@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import weakref
 
 from repro.perf import (
     RunCache,
@@ -13,6 +14,7 @@ from repro.perf import (
     run_sweep,
 )
 from repro.system.config import MachineConfig
+from repro.system.machine import Machine
 
 
 # ----------------------------------------------------------------------
@@ -108,6 +110,26 @@ def test_run_sweep_serial_orders_and_caches(tmp_path):
     assert [a.deterministic_view() for a in again] == [
         b.deterministic_view() for b in records
     ]
+
+
+def test_run_sweep_frees_each_machine_before_the_next(tmp_path, monkeypatch):
+    """A serial sweep must not leave a finished point's machine for the
+    cyclic collector to find later.  The Machine object itself dies by
+    reference count; its components (a CPU and its station point at each
+    other) form the cycle, so a CPU is watched as well."""
+    watched = []
+    alive_at_construction = []
+    init = Machine.__init__
+
+    def watched_init(machine, *args, **kwargs):
+        alive_at_construction.append([m() is not None for m in watched])
+        init(machine, *args, **kwargs)
+        watched.extend((weakref.ref(machine), weakref.ref(machine.cpus[0])))
+
+    monkeypatch.setattr(Machine, "__init__", watched_init)
+    cfg = MachineConfig.small(stations_per_ring=2, rings=2, cpus=2)
+    run_sweep(_points(cfg, (1, 2)), jobs=1, cache=RunCache(root=tmp_path))
+    assert alive_at_construction == [[], [False, False]]
 
 
 def test_run_sweep_parallel_matches_serial(tmp_path):
