@@ -19,7 +19,7 @@ the end and verifies the drain was clean; ``--port`` targets an already
 running server instead (no lifecycle checks then).
 
 Results land in ``BENCH_serve.json`` and a slim digest is appended to
-``BENCH_history.jsonl`` with ``kind="serving"`` (ledger schema 4), so
+``BENCH_history.jsonl`` with ``kind="serving"`` (ledger schema 4 and later), so
 serving performance is trended longitudinally alongside the simulation
 benches.  Wall-clock gates are host-bound: the hard gates are *zero
 5xx*, *zero hangs*, *clean drain* and *hot hit ratio ≥ --min-hit-ratio*;

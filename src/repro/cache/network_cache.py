@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.states import LineState
-from ..interconnect.packet import MsgType, Packet, acquire_packet
-from ..interconnect.ring import fusion_enabled
+from ..interconnect.packet import MsgType, Packet
 from ..sim.engine import Engine, SimulationError, ns_to_ticks
 from ..sim.fifo import Fifo
 from ..sim.stats import StatGroup
@@ -111,12 +110,7 @@ class NetworkCache:
         self._ctr_migration_hits = None
         self._ctr_nacks = None
         self._ctr_conflict_nacks = None
-        #: service-done relay fusion (NUMACHINE_FUSE): the zero-extra done
-        #: event is merged into _service (see _service); the negative
-        #: content key keeps the done event's tie-break position identical
-        #: in both modes, which is what makes the merge exact
-        self.fused = fusion_enabled()
-        self.events_fused = 0
+        #: content key of the service-done event (see _service)
         self._done_key = ~engine.alloc_uid()
         engine.blocked_watchers.append(self._blocked_reason)
 
@@ -152,22 +146,12 @@ class NetworkCache:
             v.nc_event(self, pkt)
         # The done event carries this module's content key: unique (the
         # _busy flag serializes services) and adjacent below any counter
-        # key, so a zero-extra done always pops immediately after this
-        # event — which is why the fused path may run its body inline.
+        # key, so a zero-extra done pops immediately after this event.
         engine = self.engine
-        if extra:
-            engine.schedule_keyed_at(
-                engine.now + extra, self._done_key, self._service_done,
-                priority=1,
-            )
-        elif self.fused:
-            self.events_fused += 1
-            self._busy = False
-            self._pump()
-        else:
-            engine.schedule_keyed_at(
-                engine.now, self._done_key, self._service_done, priority=1
-            )
+        engine.schedule_keyed_at(
+            engine.now + (extra or 0), self._done_key, self._service_done,
+            priority=1,
+        )
 
     def _service_done(self) -> None:
         self._busy = False
@@ -655,10 +639,10 @@ class NetworkCache:
         prefetch: bool = False, phase: Optional[int] = None,
     ) -> None:
         home = self.config.home_station(addr)
-        req = acquire_packet(
-            op, addr,
-            self.station_id,
-            self.codec.station_mask(home),
+        req = Packet(
+            mtype=op, addr=addr,
+            src_station=self.station_id,
+            dest_mask=self.codec.station_mask(home),
             requester=cpu,
         )
         meta = req.meta

@@ -85,13 +85,8 @@ class MachineIR:
     #: transactions, ring packets_carried, CPU retries) inline — a separate
     #: fingerprint axis, so both variants coexist in the module store
     instrumented: bool = False
-    #: when True the generated core mirrors the transit-fusion fast path
-    #: (NUMACHINE_FUSE=on): ring sends route through the interpreted fused
-    #: ``Ring._send`` and the idle-wakeup / service-done elisions are
-    #: compiled in — a third fingerprint axis (see repro.interconnect.ring)
-    fused: bool = False
     #: coherence-protocol plug-in whose DISPATCH tables the generated core
-    #: compiles into dense dispatch — a fourth fingerprint axis
+    #: compiles into dense dispatch — a third fingerprint axis
     protocol: str = "numachine"
 
     # ------------------------------------------------------------------
@@ -189,10 +184,9 @@ class MachineIR:
                 )
             )
 
-        fused = bool(getattr(machine, "fused", False))
         protocol = getattr(machine, "protocol_name", "numachine")
         return cls(
-            fingerprint=config_elab_fingerprint(config, instrumented, fused, protocol),
+            fingerprint=config_elab_fingerprint(config, instrumented, protocol),
             num_levels=num_levels,
             levels=levels,
             num_stations=config.num_stations,
@@ -201,18 +195,16 @@ class MachineIR:
             stations=stations,
             iris=iris,
             instrumented=instrumented,
-            fused=fused,
             protocol=protocol,
         )
 
 
 def config_elab_fingerprint(
-    config, instrumented: bool = False, fused: bool = False,
-    protocol: str = "numachine",
+    config, instrumented: bool = False, protocol: str = "numachine",
 ) -> str:
     """Digest identifying a generated module: full config, package version,
-    generator digest, instrumentation axis, transit-fusion axis, coherence
-    protocol.  Any mismatch forces regeneration."""
+    generator digest, instrumentation axis, coherence protocol.  Any
+    mismatch forces regeneration."""
     import dataclasses
 
     from repro import __version__
@@ -222,7 +214,6 @@ def config_elab_fingerprint(
             "generator": GENERATOR_DIGEST,
             "version": __version__,
             "instrumented": bool(instrumented),
-            "fused": bool(fused),
             "protocol": str(protocol),
             "config": dataclasses.asdict(config),
         },

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -143,7 +142,7 @@ class Packet:
     does attribute loads instead of string-keyed dict operations:
     ``route_state`` (travel mode), the four queue-entry timestamps
     (``send_enq``/``arr``/``up_enq``/``down_enq``, ``-1`` = unset), the
-    ``tail_done``/``seq_done`` one-shot flags, and ``credit_home`` (the
+    ``seq_done`` one-shot flag, and ``credit_home`` (the
     station interface owed a nonsinkable credit when this packet sinks).
     """
 
@@ -165,7 +164,6 @@ class Packet:
     arr: int = -1
     up_enq: int = -1
     down_enq: int = -1
-    tail_done: bool = False
     seq_done: bool = False
     credit_home: Any = None
 
@@ -199,86 +197,7 @@ class Packet:
 
 
 def next_pid() -> int:
-    """A fresh packet id — used when a pooled/reused packet is re-issued so
+    """A fresh packet id — used when a reused packet is re-issued so
     every network attempt is distinguishable (tracers and debug traces key
     per-attempt state off the pid, never off object identity)."""
     return next(_packet_ids)
-
-
-# ----------------------------------------------------------------------
-# free-list pooling
-#
-# Short-lived packets (CPU requests, NACK bounces) dominate allocation in
-# large-machine runs.  Components whose packets provably die inside their
-# own code paths recycle them here instead of leaving them to the GC.
-# Rules that keep this invisible to everything else:
-#
-# * ``acquire`` always stamps a fresh pid and hands out an *empty* (reused)
-#   meta dict, so tracers and monitors see exactly the stamps a brand-new
-#   packet would carry;
-# * ``release`` is only called by the component that built the packet, at a
-#   point where no FIFO, event, closure or pending record can still hold it;
-# * ``NUMACHINE_POOL=0`` disables recycling entirely (acquire falls back to
-#   plain construction, release drops the packet) — runs are bit-identical
-#   either way because pid draw order does not depend on pooling.
-# ----------------------------------------------------------------------
-
-#: retained free packets (module-wide; the simulator is single-threaded)
-_POOL_MAX = 256
-_pool: list = []
-
-POOLING = os.environ.get("NUMACHINE_POOL", "1").strip().lower() not in (
-    "0", "false", "off", "no",
-)
-
-
-def acquire_packet(
-    mtype: MsgType,
-    addr: int,
-    src_station: int,
-    dest_mask: int,
-    requester: Optional[int] = None,
-    data: Any = None,
-    flits: int = 1,
-    ordered: bool = False,
-) -> Packet:
-    """A fresh-looking packet, recycled from the pool when possible.
-
-    The returned packet has a new pid, an empty ``meta`` dict and reset
-    transit state; callers fill protocol meta keys afterwards.
-    """
-    if not _pool:
-        return Packet(
-            mtype=mtype, addr=addr, src_station=src_station,
-            dest_mask=dest_mask, requester=requester, data=data,
-            flits=flits, ordered=ordered,
-        )
-    pkt = _pool.pop()
-    pkt.mtype = mtype
-    pkt.addr = addr
-    pkt.src_station = src_station
-    pkt.dest_mask = dest_mask
-    pkt.requester = requester
-    pkt.data = data
-    pkt.flits = flits
-    pkt.ordered = ordered
-    pkt.pid = next(_packet_ids)
-    pkt.born = -1
-    return pkt
-
-
-def release_packet(pkt: Packet) -> None:
-    """Return a dead packet to the pool (see ownership rules above)."""
-    if not POOLING or len(_pool) >= _POOL_MAX:
-        return
-    pkt.data = None
-    pkt.meta.clear()
-    pkt.route_state = ROUTE_DELIVER
-    pkt.send_enq = -1
-    pkt.arr = -1
-    pkt.up_enq = -1
-    pkt.down_enq = -1
-    pkt.tail_done = False
-    pkt.seq_done = False
-    pkt.credit_home = None
-    _pool.append(pkt)

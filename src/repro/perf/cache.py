@@ -9,8 +9,6 @@ JSON files keyed by a digest of exactly those inputs:
 * the resolved coherence protocol (``config.protocol`` falling back to
   ``NUMACHINE_PROTOCOL``) — a semantic axis: different protocols produce
   different event streams and statistics,
-* the ``NUMACHINE_SCALE`` problem-size multiplier (it changes the workload
-  built by :func:`repro.workloads.make` without touching the config),
 * the package version (:data:`repro.__version__`) and a cache schema
   number — bump either and every old entry is ignored.
 
@@ -25,10 +23,9 @@ Environment knobs:
   timestamp).  ``python -m repro.perf.cache --prune`` applies the same
   policy on demand; ``--stats`` and ``--clear`` are also available.
 
-The execution-strategy knobs — backend (``NUMACHINE_BACKEND``), event
-scheduler (``NUMACHINE_SCHED``), packet pooling (``NUMACHINE_POOL``) and
-transit fusion (``NUMACHINE_FUSE``) — are **in the key** even though all
-of them are bit-identical by contract on the canonical surface
+The execution-strategy knobs — backend (``NUMACHINE_BACKEND``) and event
+scheduler (``NUMACHINE_SCHED``) — are **in the key** even though both
+are bit-identical by contract on the canonical surface
 (pinned by ``tests/test_engine_determinism.py`` and
 ``tests/test_elab_backend.py``).  A cached record also stores wall-clock
 throughput, and *that* is not strategy-invariant; keying on the strategy
@@ -49,12 +46,11 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from ..interconnect.ring import fusion_mode
 from ..protocol import resolve_protocol_name
 from .record import RunRecord
 
 #: bump when the RunRecord layout or key derivation changes
-CACHE_SCHEMA = 6
+CACHE_SCHEMA = 7
 
 #: default size cap for the cache directory, in bytes
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
@@ -99,15 +95,12 @@ def point_key(
             "nprocs": nprocs,
             "cpus": list(cpus),
             "variant": variant,
-            "scale": os.environ.get("NUMACHINE_SCALE", "1.0"),
             # coherence protocol: a *semantic* axis (different event
             # streams and stats), resolved with the machine's precedence
             "protocol": resolve_protocol_name(config),
             # execution strategy: bit-identical results, different timings
             "backend": os.environ.get("NUMACHINE_BACKEND", "auto"),
             "sched": os.environ.get("NUMACHINE_SCHED", "auto"),
-            "pool": os.environ.get("NUMACHINE_POOL", "1"),
-            "fuse": fusion_mode(),
         },
         sort_keys=True,
     )

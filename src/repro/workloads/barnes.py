@@ -45,7 +45,6 @@ class Barnes(Workload):
 
     def __init__(self, nbodies: int = 256, steps: int = 2, theta: float = 0.7,
                  scale: float = 1.0) -> None:
-        super().__init__(scale)
         if scale != 1.0:
             nbodies = max(16, int(nbodies * scale))
         self.n = nbodies

@@ -10,7 +10,7 @@ provides the conveniences real SPLASH-2 code gets from its runtime:
   with spin-read backoff (generating the real coherence traffic locks cost);
 * :func:`fetch_add` — atomic counters for task queues;
 * :class:`Workload` — the interface every kernel/app implements, carrying
-  the paper's Table 2 problem-size defaults and a scale factor.
+  the paper's Table 2 problem-size description.
 """
 
 from __future__ import annotations
@@ -127,17 +127,13 @@ class Workload:
     """Base class for SPLASH-2-like kernels and applications.
 
     Subclasses define :meth:`build` (allocate shared data on ``machine``)
-    and :meth:`thread_program` (the per-CPU generator).  ``scale`` shrinks
-    the Table 2 problem sizes so cycle-level simulation stays tractable;
-    1.0 would be the paper's sizes.
+    and :meth:`thread_program` (the per-CPU generator).  Their ``scale``
+    constructor argument multiplies the default problem size.
     """
 
     #: paper problem size (Table 2), for documentation in benches
     paper_problem = ""
     name = "workload"
-
-    def __init__(self, scale: float = 1.0) -> None:
-        self.scale = scale
 
     # -- interface ------------------------------------------------------
     def build(self, machine: Machine, cpus: Sequence[int]) -> None:

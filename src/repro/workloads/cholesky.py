@@ -32,7 +32,6 @@ class Cholesky(Workload):
 
     def __init__(self, nblocks: int = 12, block: int = 6, border: int = 6,
                  scale: float = 1.0) -> None:
-        super().__init__(scale)
         if scale != 1.0:
             nblocks = max(2, int(nblocks * scale))
         self.nb = nblocks

@@ -56,7 +56,6 @@ class FFT(Workload):
     paper_problem = "65536 complex doubles (M=16)"
 
     def __init__(self, n: int = 4096, scale: float = 1.0) -> None:
-        super().__init__(scale)
         if scale != 1.0:
             n = int(n * scale)
         m = 1

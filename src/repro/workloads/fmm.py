@@ -31,7 +31,6 @@ class FMM(Workload):
 
     def __init__(self, nparticles: int = 128, grid: int = 4, order: int = 8,
                  scale: float = 1.0) -> None:
-        super().__init__(scale)
         if scale != 1.0:
             nparticles = max(16, int(nparticles * scale))
         self.n = nparticles

@@ -37,7 +37,6 @@ class Ocean(Workload):
 
     def __init__(self, n: int = 34, sweeps: int = 6, omega: float = 1.4,
                  scale: float = 1.0) -> None:
-        super().__init__(scale)
         if scale != 1.0:
             n = max(10, int(n * scale))
         self.n = n

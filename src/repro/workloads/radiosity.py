@@ -37,7 +37,6 @@ class Radiosity(Workload):
 
     def __init__(self, patches_per_wall: int = 4, iterations: int = 4,
                  scale: float = 1.0) -> None:
-        super().__init__(scale)
         if scale != 1.0:
             patches_per_wall = max(2, int(patches_per_wall * scale))
         self.ppw = patches_per_wall

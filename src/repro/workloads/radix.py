@@ -25,7 +25,6 @@ class RadixSort(Workload):
 
     def __init__(self, n: int = 4096, radix: int = 256, key_bits: int = 16,
                  scale: float = 1.0) -> None:
-        super().__init__(scale)
         if scale != 1.0:
             n = max(radix, int(n * scale))
         self.n = n

@@ -53,7 +53,6 @@ class Raytrace(Workload):
 
     def __init__(self, image: int = 24, nspheres: int = 12, tile: int = 4,
                  scale: float = 1.0) -> None:
-        super().__init__(scale)
         if scale != 1.0:
             image = max(8, int(image * scale))
         self.image = image

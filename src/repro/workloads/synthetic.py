@@ -29,7 +29,6 @@ class UniformAccess(Workload):
 
     def __init__(self, words: int = 2048, ops: int = 400, read_frac: float = 0.7,
                  scale: float = 1.0) -> None:
-        super().__init__(scale)
         self.words = words
         self.ops = int(ops * scale) if scale != 1.0 else ops
         self.read_frac = read_frac
@@ -57,7 +56,6 @@ class HotSpot(Workload):
 
     def __init__(self, words: int = 64, ops: int = 200, hot_station: int = 0,
                  scale: float = 1.0) -> None:
-        super().__init__(scale)
         self.words = words
         self.ops = int(ops * scale) if scale != 1.0 else ops
         self.hot_station = hot_station
@@ -85,7 +83,6 @@ class ProducerConsumer(Workload):
     name = "prodcons"
 
     def __init__(self, rounds: int = 20, payload: int = 8, scale: float = 1.0) -> None:
-        super().__init__(scale)
         self.rounds = int(rounds * scale) if scale != 1.0 else rounds
         self.payload = payload
 
@@ -141,7 +138,6 @@ class EurekaSpin(Workload):
 
     def __init__(self, announcements: int = 10, use_update: bool = False,
                  scale: float = 1.0) -> None:
-        super().__init__(scale)
         self.rounds = int(announcements * scale) if scale != 1.0 else announcements
         self.use_update = use_update
 
@@ -186,7 +182,6 @@ class FlushStorm(Workload):
     name = "flushstorm"
 
     def __init__(self, lines_per_cpu: int = 32, scale: float = 1.0) -> None:
-        super().__init__(scale)
         self.lines = int(lines_per_cpu * scale) if scale != 1.0 else lines_per_cpu
 
     def build(self, machine, cpus: Sequence[int]) -> None:

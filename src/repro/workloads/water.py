@@ -35,7 +35,6 @@ class _WaterBase(Workload):
     paper_problem = "512 molecules, 3 steps"
 
     def __init__(self, nmol: int = 64, steps: int = 2, scale: float = 1.0) -> None:
-        super().__init__(scale)
         if scale != 1.0:
             nmol = max(8, int(nmol * scale))
         self.n = nmol

@@ -174,17 +174,6 @@ def test_schedulers_are_bit_identical(monkeypatch, workload):
     assert prints["calendar"] == prints["heap"]
 
 
-@pytest.mark.parametrize("workload", sorted(_WORKLOADS))
-def test_packet_pooling_does_not_change_results(monkeypatch, workload):
-    from repro.interconnect import packet as pktmod
-
-    baseline = _run_fingerprint(_WORKLOADS[workload])
-    # disable recycling entirely and drop any pooled packets
-    monkeypatch.setattr(pktmod, "POOLING", False)
-    monkeypatch.setattr(pktmod, "_pool", [])
-    assert _run_fingerprint(_WORKLOADS[workload]) == baseline
-
-
 def test_explicit_scheduler_override_beats_environment(monkeypatch):
     monkeypatch.setenv("NUMACHINE_SCHED", "heap")
     eng = Engine(scheduler="calendar")

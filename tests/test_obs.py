@@ -15,6 +15,7 @@ from repro.obs import chrome_trace, dump_chrome_events, snapshot, to_prometheus
 from repro.obs.report import main as report_main, sparkline
 from repro.obs.trace import _TICKS_PER_US
 from repro.perf import collect_record
+from repro.protocol import canonical_surface
 from repro.workloads.synthetic import HotSpot
 
 from conftest import small_config, tiny_config
@@ -496,18 +497,11 @@ def test_tracing_off_throughput_vs_recorded_baseline():
     for _ in range(3):
         machine = Machine(MachineConfig.prototype())
         HotSpot(words=64, ops=400).run(machine, nprocs=base["nprocs"])
-        # the baseline records the hop-by-hop event stream; under
-        # NUMACHINE_FUSE=on the engine runs fewer (macro-)events but the
-        # hop-equivalent count must reconstruct the baseline exactly
-        assert machine.event_counts()["hop_equivalent"] == base["events_run"]
+        events = machine.engine.events_run
+        assert canonical_surface(machine)["hop_equivalent"] == events
+        assert events == base["events_run"]
         assert machine.engine.now == base["final_now_ticks"]
         best = max(best, machine.engine.events_per_sec)
-    if machine.fused:
-        # macro-events/s is not comparable to the baseline's hop-events/s;
-        # rescale to hop-equivalent events per second before the gate
-        best = best * machine.event_counts()["hop_equivalent"] / (
-            machine.engine.events_run
-        )
     assert best >= base["events_per_sec"] * 0.75, (
         f"throughput collapsed: best {best:.0f} ev/s vs "
         f"baseline {base['events_per_sec']:.0f} ev/s"

@@ -458,13 +458,13 @@ def test_http_end_to_end(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# ledger schema 4: serving entries are distinguishable
+# ledger schema 4+: serving entries are distinguishable
 # ----------------------------------------------------------------------
 def test_ledger_kind_field():
-    assert LEDGER_SCHEMA == 4
+    assert LEDGER_SCHEMA == 5
     assert make_entry("bench_engine", {})["kind"] == "simulation"
     entry = make_entry("bench_serve", {"rps": 1.0}, kind="serving")
-    assert entry["kind"] == "serving" and entry["schema"] == 4
+    assert entry["kind"] == "serving" and entry["schema"] == LEDGER_SCHEMA
     with pytest.raises(ValueError):
         make_entry("bench_serve", {}, kind="mystery")
     json.dumps(entry)  # the envelope stays JSON-serializable
