@@ -20,11 +20,11 @@ running server instead (no lifecycle checks then).
 
 Results land in ``BENCH_serve.json`` and a slim digest is appended to
 ``BENCH_history.jsonl`` with ``kind="serving"`` (ledger schema 4 and later), so
-serving performance is trended longitudinally alongside the simulation
-benches.  Wall-clock gates are host-bound: the hard gates are *zero
-5xx*, *zero hangs*, *clean drain* and *hot hit ratio ≥ --min-hit-ratio*;
-the cached-p99 target (``--p99-ms``) is advisory off the recorded host,
-exactly like the throughput baselines in ``bench_scale.py``.
+serving performance is trended longitudinally alongside the simulator's
+A/B timings (``scripts/ab.py``).  Wall-clock gates are host-bound: the
+hard gates are *zero 5xx*, *zero hangs*, *clean drain* and *hot hit
+ratio ≥ --min-hit-ratio*; the cached-p99 target (``--p99-ms``) is
+advisory off the recorded host.
 
 Usage::
 

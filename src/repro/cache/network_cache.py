@@ -636,7 +636,7 @@ class NetworkCache:
 
     def _send_home(
         self, addr: int, op: MsgType, cpu: Optional[int], retry: bool,
-        prefetch: bool = False, phase: Optional[int] = None,
+        prefetch: bool = False, phase: Optional[int] = None, nacks: int = 0,
     ) -> None:
         home = self.config.home_station(addr)
         req = Packet(
@@ -652,6 +652,9 @@ class NetworkCache:
             # the requester's phase identifier travels with the transaction
             # so the home station's monitor can attribute it (§3.3)
             meta["phase"] = phase
+        if nacks:
+            # the transaction's age, for home's starvation escape
+            meta["nacks"] = nacks
         self._send_packet(req, has_data=False)
 
     def _send_simple(self, mtype: MsgType, orig: Packet) -> None:

@@ -1,19 +1,19 @@
 """Cross-checkout performance ledger — ``BENCH_history.jsonl``.
 
-``BENCH_engine.json`` / ``BENCH_scale.json`` hold only the *latest*
-measurement; regressions that creep in over several PRs are invisible in
-them.  The ledger is the longitudinal record: every benchmark run appends
-one self-describing JSONL line — when, on what host, at which git commit,
-under which backend, how many events/second — so trends are a ``jq`` (or
-pandas) one-liner away and a checkout's history survives result-file
-overwrites.
+The ledger is the longitudinal record of speed measurements: every writer
+appends one self-describing JSONL line — when, on what host, at which git
+commit, under which protocol, and the writer's own result — so trends are
+a ``jq`` (or pandas) one-liner away and survive result-file overwrites.
+Its simulation writer is ``scripts/ab.py`` (bench ``"ab"``: an interleaved
+A/B of two checkouts on one ``perfbench`` workload); its serving writer is
+``benchmarks/bench_serve.py``.
 
-Entries are append-only and host-stamped: rates from different hosts are
-not comparable (see ``bench_scale.host_fingerprint``), so any consumer
-should group by the ``host`` fingerprint before drawing trend lines.
+Entries are append-only and host-stamped: wall-clock figures from
+different hosts are not comparable, so any consumer should group by the
+``host`` fingerprint before drawing trend lines.
 
-Schema 4 adds ``kind``: ``"simulation"`` for the engine/scale/figure
-benches, ``"serving"`` for the job-server soak (``bench_serve.py`` —
+Schema 4 adds ``kind``: ``"simulation"`` for simulator timings,
+``"serving"`` for the job-server soak (``bench_serve.py`` —
 rps, hit ratio, p99), so the longitudinal trajectory covers serving as
 well as simulation and consumers can split the two without guessing
 from bench names.  Schema 5 entries carry no ``fuse`` field.

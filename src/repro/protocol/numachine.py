@@ -35,6 +35,12 @@ from ..memory.memory_module import MemoryModule, Pending
 from ..sim.engine import SimulationError
 from .base import CoherenceProtocol
 
+#: NACKs a special read absorbs before it may be served through a lock
+#: held on its own station (see ``NumachineMemory._on_special_read``).
+#: Above the 26 seen on the hot-spot P=64 benchmark point, so starvation
+#: that resolves on its own keeps its pinned timing.
+STARVATION_NACKS = 64
+
 
 class NumachineMemory(MemoryModule):
     """Home memory directory: the memory side of the two-level protocol."""
@@ -218,8 +224,27 @@ class NumachineMemory(MemoryModule):
         return self._on_read_ex(data_pkt, entry, local)
 
     def _on_special_read(self, pkt: Packet, entry: DirEntry, local: bool) -> int:
-        """§4.6: the requester owns the line but never received data."""
-        if entry.locked:
+        """§4.6: the requester owns the line but never received data.
+
+        A special read that finds the line locked is NACKed like any
+        other request -- unless its transaction has already been NACKed
+        :data:`STARVATION_NACKS` times and the lock is an intervention to
+        the requesting station itself.  That station's NC, waiting on this
+        very read, can only NACK the intervention; meanwhile home-station
+        readers, retrying over the bus, relock the line on every
+        intervention bounce, so the owner's ring-borne retries can miss
+        every unlocked window forever.  Serving the read breaks the cycle
+        and is safe: memory's copy is current (ownership came with an
+        ack-only grant and the owner never had data to write), and the
+        intervention, sent earlier on the same route, reaches the owner
+        ahead of the data and is NACKed as before."""
+        if entry.locked and not (
+            pkt.meta.get("nacks", 0) >= STARVATION_NACKS
+            and entry.pending is not None
+            and entry.pending.kind == "fetch"
+            and entry.state is LineState.GI
+            and self._owner_station(entry) == pkt.src_station
+        ):
             return self._nack(pkt, local)
         self.stats.counter("special_reads_served").incr()
         data = self.read_line(pkt.addr)
@@ -583,7 +608,7 @@ class NumachineNC(NetworkCache):
         if p is None or p.kind != "fetch":
             return
         self._send_home(line.addr, p.op, p.cpu, retry=True,
-                        prefetch=(p.cpu is None), phase=p.phase)
+                        prefetch=(p.cpu is None), phase=p.phase, nacks=p.retries)
 
     def _on_invalidate(self, pkt: Packet) -> int:
         line = self.array.probe(pkt.addr) if self.enabled else None

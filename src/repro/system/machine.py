@@ -333,12 +333,6 @@ class Machine:
     def special_read_count(self) -> int:
         return self.nc_stats().get("special_reads", 0)
 
-    def throughput(self) -> Dict[str, float]:
-        """Simulator throughput meter: events processed, wall-clock seconds
-        spent inside the event loop, and events per second (host-dependent;
-        reported by the engine microbench and the perf harness)."""
-        return self.engine.throughput()
-
     def utilizations(self) -> Dict[str, float]:
         now = self.engine.now
         bus = [st.bus.utilization(now) for st in self.stations]

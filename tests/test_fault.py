@@ -18,6 +18,9 @@ queue, runaway spin) into a diagnostic :class:`WatchdogError`.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import Barrier, Compute, Machine, MachineConfig, Read
@@ -151,6 +154,17 @@ def test_delay_faults_pass_the_invariant_checker():
     machine.attach_fault(_delay_plan())
     got, want = _counter_run(machine)
     assert got == want
+
+
+def test_fuzz_seed_81_owner_special_read_is_not_starved():
+    """Seed 81 (prodcons, P=16, delay faults) livelocked: home NACKed the
+    owner's special read forever while home-station readers relocked the
+    line with interventions the owner could only NACK."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    from fuzz_protocol import fuzz_one
+
+    record = fuzz_one(81, [4, 16])
+    assert record["ok"], record.get("error")
 
 
 # ----------------------------------------------------------------------

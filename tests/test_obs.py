@@ -20,9 +20,6 @@ from repro.workloads.synthetic import HotSpot
 
 from conftest import small_config, tiny_config
 
-BASELINE = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-
-
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
@@ -484,25 +481,15 @@ def test_tracing_off_is_bit_identical_and_tracing_never_shifts_time():
     assert traced.obs.tracer.finished
 
 
-@pytest.mark.skipif(not BASELINE.exists(), reason="no recorded engine baseline"
-                    " (run benchmarks/bench_engine_throughput.py first)")
-def test_tracing_off_throughput_vs_recorded_baseline():
-    """With no observability attached, the hot-spot microbench must replay
-    the recorded baseline's event stream exactly and stay within a generous
-    wall-clock margin of its throughput (hosts are noisy; the exact 3%
-    budget is checked by the bench itself on a quiet machine)."""
-    base = json.loads(BASELINE.read_text())
-    best = 0.0
-    machine = None
-    for _ in range(3):
-        machine = Machine(MachineConfig.prototype())
-        HotSpot(words=64, ops=400).run(machine, nprocs=base["nprocs"])
-        events = machine.engine.events_run
-        assert canonical_surface(machine)["hop_equivalent"] == events
-        assert events == base["events_run"]
-        assert machine.engine.now == base["final_now_ticks"]
-        best = max(best, machine.engine.events_per_sec)
-    assert best >= base["events_per_sec"] * 0.75, (
-        f"throughput collapsed: best {best:.0f} ev/s vs "
-        f"baseline {base['events_per_sec']:.0f} ev/s"
-    )
+@pytest.mark.parametrize("backend", ["interp", "elab"])
+def test_untraced_hotspot16_replays_pinned_event_stream(backend):
+    """Untraced, the hot-spot P=16 run replays the event count and final
+    tick pinned since before tracing existed, on both backends: a detached
+    hook that schedules or reorders anything shows up here."""
+    machine = Machine(MachineConfig.prototype(), backend=backend)
+    HotSpot(words=64, ops=400).run(machine, nprocs=16)
+    events = machine.engine.events_run
+    assert machine.backend == backend
+    assert canonical_surface(machine)["hop_equivalent"] == events
+    assert events == 62497
+    assert machine.engine.now == 1145610
