@@ -192,13 +192,6 @@ def run_observed(
     return machine, obs, result.parallel_time_ns
 
 
-def speedup_curve(
-    name: str, procs: Iterable[int], config_factory=bench_config
-) -> Dict[int, float]:
-    """Parallel speedup vs the workload's own single-processor run."""
-    return speedup_curves([name], procs, config_factory)[name]
-
-
 def speedup_curves(
     names: Iterable[str], procs: Iterable[int], config_factory=bench_config
 ) -> Dict[str, Dict[int, float]]:

@@ -21,12 +21,10 @@ Perfetto / ``python -m repro.obs.report``):
   transaction, with probe counter tracks
 * ``numachine_obs.json``   — unified metrics snapshot
 
-Run:  python examples/monitoring.py [--out-dir out] [--no-monitor]
+Run:  python examples/monitoring.py [--out-dir out]
 
-``--no-monitor`` drops the §3.3 monitor and keeps only the observability
-layer: with ``NUMACHINE_BACKEND=elab`` (or ``auto``) the run then executes
-on the *instrumented* specialized core — the monitor is the one hook here
-that forces the interpreter (see :mod:`repro.elab.backend`).
+The monitor and the observability layer are hooks, so the run executes
+on the interpreted backend (see :mod:`repro.elab.backend`).
 """
 
 import argparse
@@ -45,16 +43,11 @@ def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out-dir", type=Path, default=Path("out"),
                     help="directory for trace/snapshot artifacts (default out/)")
-    ap.add_argument("--no-monitor", action="store_true",
-                    help="skip the §3.3 monitor so an elab-backend run can "
-                    "stay on the instrumented specialized core")
     args = ap.parse_args(argv)
     config = MachineConfig.small(stations_per_ring=2, rings=2, cpus=2)
     machine = Machine(config)
-    monitor = None
-    if not args.no_monitor:
-        monitor = Monitor()
-        machine.attach_monitor(monitor)
+    monitor = Monitor()
+    machine.attach_monitor(monitor)
     obs = Observability(probe_period_ns=500.0).attach(machine)
 
     cpus = tuple(range(config.num_cpus))
@@ -82,26 +75,23 @@ def main(argv=None) -> None:
 
     result = machine.run({cpu: worker(tid) for tid, cpu in enumerate(cpus)})
     print(f"ran in {result.time_ns / 1000:.1f} us "
-          f"(backend={machine.backend}"
-          + (f", variant={machine.backend_variant}" if machine.backend_variant
-             else "") + ")\n")
+          f"(backend={machine.backend})\n")
 
-    if monitor is not None:
-        print("memory coherence histogram (state x transaction type):")
-        print(monitor.coherence_histogram.render())
-        print()
-        print("traffic by phase identifier (phase 1 = packed/false-sharing,"
-              " phase 2 = padded):")
-        print(monitor.phase_table.render())
-        print()
-        p1 = monitor.phase_table.total(col=1)
-        p2 = monitor.phase_table.total(col=2)
-        print(f"memory transactions: phase 1 (false sharing) = {p1}, "
-              f"phase 2 (padded) = {p2}")
-        print(f"-> the packed layout generated {p1 / max(1, p2):.1f}x the "
-              "coherence traffic for identical work")
-        print()
-        print("last 5 trace-memory entries:", monitor.trace.recent(5))
+    print("memory coherence histogram (state x transaction type):")
+    print(monitor.coherence_histogram.render())
+    print()
+    print("traffic by phase identifier (phase 1 = packed/false-sharing,"
+          " phase 2 = padded):")
+    print(monitor.phase_table.render())
+    print()
+    p1 = monitor.phase_table.total(col=1)
+    p2 = monitor.phase_table.total(col=2)
+    print(f"memory transactions: phase 1 (false sharing) = {p1}, "
+          f"phase 2 (padded) = {p2}")
+    print(f"-> the packed layout generated {p1 / max(1, p2):.1f}x the "
+          "coherence traffic for identical work")
+    print()
+    print("last 5 trace-memory entries:", monitor.trace.recent(5))
 
     # ------------------------------------------------------------------
     # observability layer: traces, probes, unified snapshot

@@ -14,8 +14,8 @@ interpreting it event by event through generic dispatch, this package
   fingerprint (under ``.numachine_cache/elab/``);
 * :mod:`repro.elab.backend` selects and applies a backend per run
   (``NUMACHINE_BACKEND`` = ``auto`` | ``interp`` | ``elab``), falling back
-  to the interpreter whenever any observability / verification / fault
-  hook is attached so hooked runs stay bit-identical.
+  to the interpreter whenever any hook (monitor, verifier, fault
+  injector, observability) is attached.
 """
 
 from .backend import BACKENDS, backend_name, hooks_active, sync

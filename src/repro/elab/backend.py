@@ -7,18 +7,12 @@ Two backends execute a machine:
     monitor, fault filter) is checked on the hot paths;
 ``elab``
     a generated specialized core (:mod:`repro.elab.codegen`) — constants
-    baked in, pump loops fused.  Bit-identical to ``interp`` on the
-    canonical reporting surface (events / time / ``nc_stats`` /
-    ``memory_stats`` / ``utilizations`` / ``ring_interface_delays``).
-    Two compiled variants exist, selected here per run:
-
-    * **plain** — every hook check deleted; observability-only telemetry
-      (FIFO depth/wait histograms, bus ``transactions``, ring
-      ``packets_carried``, CPU ``retries``) is not maintained;
-    * **instrumented** — tracer stamps and that telemetry compiled back
-      in inline, so tracer/probe runs execute on the elab core at full
-      speed (the obs hooks never schedule events: identical
-      ``(events_run, now)``).
+    baked in, pump loops fused, every hook check deleted.  Bit-identical to
+    ``interp`` on the canonical reporting surface (events / time /
+    ``nc_stats`` / ``memory_stats`` / ``utilizations`` /
+    ``ring_interface_delays``); observability-only telemetry (FIFO
+    depth/wait histograms, bus ``transactions``, ring ``packets_carried``,
+    CPU ``retries``) is not maintained.
 
 Selection mirrors the scheduler knob: an explicit ``Machine(backend=...)``
 argument wins, then ``NUMACHINE_BACKEND`` (``auto`` | ``interp`` | ``elab``),
@@ -28,12 +22,11 @@ The elaborated core is applied by *re-classing* the already-wired component
 instances (``obj.__class__ = Generated``) — no state is copied, moved, or
 rebuilt, which is what keeps the switch exact.  Two safety rules:
 
-* **non-observability hooks force interp**: a monitor, verifier or fault
-  injector rewires behaviour the generated code cannot honour, so any of
-  them keeps the machine interpreted (a watchdog is engine-level and
-  stays allowed).  Observability hooks — tracers attached by
-  :class:`repro.obs.Observability`, probes, the telemetry stream — select
-  the *instrumented* elab variant instead of forcing interp;
+* **any hook forces interp**: a monitor, verifier, fault injector, or an
+  observability layer (tracer, probes, telemetry stream) needs hook
+  points or telemetry the generated code does not have, so any of them
+  keeps the machine interpreted (a watchdog is engine-level and stays
+  allowed, as does the engine-level :class:`repro.obs.profile.Profiler`);
 * **no switching under in-flight events**: pending events hold bound
   methods captured under the old classes; the backend only flips when the
   event queue is empty (:meth:`sync` is a no-op otherwise).
@@ -62,9 +55,10 @@ def backend_name(pref=None) -> str:
     return name
 
 
-def interp_only_hooks(machine) -> bool:
-    """Any hook attached that rewires behaviour the generated code cannot
-    honour (monitor / verifier / fault injection)?
+def hooks_active(machine) -> bool:
+    """Any hook attached that the generated core cannot honour: monitor,
+    verifier, fault injection, or observability (tracer / probes /
+    telemetry stream)?
 
     Scans component hook slots directly (not just the Machine-level
     attributes) so hooks installed by hand in tests are honoured too.
@@ -73,35 +67,26 @@ def interp_only_hooks(machine) -> bool:
         machine.monitor is not None
         or machine.verifier is not None
         or machine.fault is not None
+        or machine.obs is not None
     ):
         return True
     for st in machine.stations:
         sri = st.ring_interface
-        if sri.verifier is not None or sri.fault_filter is not None:
+        if (
+            sri.verifier is not None
+            or sri.fault_filter is not None
+            or sri.tracer is not None
+        ):
             return True
         for mod in (st.memory, st.nc):
-            if mod.monitor is not None or mod.verifier is not None:
+            if (
+                mod.monitor is not None
+                or mod.verifier is not None
+                or mod.tracer is not None
+            ):
                 return True
         for cpu in st.cpus:
-            if cpu.verifier is not None:
-                return True
-    return False
-
-
-def obs_hooks_active(machine) -> bool:
-    """Any observability hook (tracer / probes / telemetry stream)
-    attached?  These never perturb the event stream, so they run on the
-    *instrumented* elab variant instead of forcing interp."""
-    if machine.obs is not None:
-        return True
-    for st in machine.stations:
-        if st.ring_interface.tracer is not None:
-            return True
-        for mod in (st.memory, st.nc):
-            if mod.tracer is not None:
-                return True
-        for cpu in st.cpus:
-            if cpu.tracer is not None:
+            if cpu.verifier is not None or cpu.tracer is not None:
                 return True
     for iri in machine.net.iris:
         if iri.tracer is not None:
@@ -109,50 +94,30 @@ def obs_hooks_active(machine) -> bool:
     return False
 
 
-def hooks_active(machine) -> bool:
-    """Any hook attached at all (back-compat predicate)."""
-    return interp_only_hooks(machine) or obs_hooks_active(machine)
-
-
 # ----------------------------------------------------------------------
 def sync(machine) -> None:
     """Bring the machine's active backend in line with the selection and
     the hook state.  Called on entry to :meth:`Machine.run`; a no-op when
-    nothing changed or events are in flight.
-
-    The target is three-way: interpreted (``None``), the plain elab
-    variant, or the instrumented elab variant when only observability
-    hooks are attached."""
+    nothing changed or events are in flight."""
     name = backend_name(machine._backend_pref)
-    if (
+    want_elab = not (
         name == "interp"
         or getattr(machine, "_elab_failed", False)
-        or interp_only_hooks(machine)
-    ):
-        target = None
-    elif obs_hooks_active(machine):
-        target = "instr"
-    else:
-        target = "plain"
-    current = machine._elab_variant if machine._elab_applied else None
-    if target == current:
+        or hooks_active(machine)
+    )
+    if want_elab == machine._elab_applied:
         return
     if machine.engine.pending:
         return  # pending events hold old bound methods; never swap now
-    if machine._elab_applied:
+    if not want_elab:
         _revert(machine)
         machine._elab_applied = False
-        machine._elab_variant = None
-    if target is None:
         return
     try:
         from .ir import MachineIR
         from .store import load_module
 
-        mod = load_module(
-            MachineIR.from_machine(machine, instrumented=(target == "instr"))
-        )
-        _specialize(machine, mod)
+        _specialize(machine, load_module(MachineIR.from_machine(machine)))
     except Exception as exc:
         machine._elab_failed = True
         if name == "elab":
@@ -164,7 +129,6 @@ def sync(machine) -> None:
             )
         return
     machine._elab_applied = True
-    machine._elab_variant = target
 
 
 def ensure_interp(machine) -> None:
@@ -178,7 +142,6 @@ def ensure_interp(machine) -> None:
         )
     _revert(machine)
     machine._elab_applied = False
-    machine._elab_variant = None
 
 
 # ----------------------------------------------------------------------
@@ -238,30 +201,18 @@ def _revert(machine) -> None:
     for iri in machine.net.iris:
         iri.__class__ = InterRingInterface
     _recapture(machine)
-    _resync_telemetry(
-        machine,
-        integrate=(getattr(machine, "_elab_variant", None) == "instr"),
-    )
+    _resync_telemetry(machine)
 
 
-def _resync_telemetry(machine, integrate: bool = False) -> None:
-    """The *plain* specialized core does not maintain the FIFO depth
-    integral, so every fifo's ``_last_change`` clock is stale after a
-    plain-elab run.  Reset it to *now* before interpreted code resumes its
-    ``depth_area`` updates, otherwise the first interp push/pop would
-    integrate the whole elab era at the current depth.
-
-    The *instrumented* core keeps the integral live; there the un-flushed
-    tail span ``[_last_change, now]`` is real area, so it is integrated
-    (not discarded) before the clock reset."""
+def _resync_telemetry(machine) -> None:
+    """The specialized core does not maintain the FIFO depth integral, so
+    every fifo's ``_last_change`` clock is stale after an elab run.  Reset
+    it to *now* before interpreted code resumes its ``depth_area`` updates,
+    otherwise the first interp push/pop would integrate the whole elab era
+    at the current depth."""
     now = machine.engine.now
-    if integrate:
-        for f in _all_fifos(machine):
-            f._depth_area += len(f._items) * (now - f._last_change)
-            f._last_change = now
-    else:
-        for f in _all_fifos(machine):
-            f._last_change = now
+    for f in _all_fifos(machine):
+        f._last_change = now
 
 
 def _all_fifos(machine):

@@ -24,28 +24,11 @@ reporting surface (``nc_stats`` / ``memory_stats`` / ``utilizations`` /
 ``max_depth``) is updated identically — that is the bit-identity contract,
 enforced by tests/test_elab_backend.py and scripts/check_elab.py.
 
-Observability is a *compile-time axis*: ``MachineIR.instrumented`` selects
-between two generated variants sharing this generator.
-
-* the **plain** variant deletes every hook check and drops the
-  observability-only telemetry no canonical reader consumes (FIFO depth
-  integral / wait-time histograms / push counters, the bus
-  ``transactions`` counter, the ring ``packets_carried`` counter, the CPU
-  ``retries`` counter);
-* the **instrumented** variant bakes that telemetry back in inline and
-  emits the tracer stamps at exactly the interpreted stamp sites
-  (``cpu.send`` / ``ri.send`` / ``ring.inject`` / ``ri.arrive`` /
-  ``ri.deliver`` / ``mem.in`` / ``mem.svc`` / ``nc.in`` / ``nc.svc`` /
-  the four ``iri.*`` stamps / NACK retries), each behind a single
-  ``tracer is not None`` load — no monitor / verifier / fault checks,
-  which still force the interpreted backend.
-
-Tracer stamps never schedule events, so both variants push the identical
-event stream: instrumented runs are bit-identical to plain runs in
-``(events_run, now)`` and the full canonical surface (pinned by
-tests/test_obs_elab.py).  The two variants hash to different fingerprints
-(:func:`repro.elab.ir.config_elab_fingerprint`) and coexist in the module
-store.
+The core also drops the observability-only telemetry no canonical reader
+consumes: FIFO depth integral / wait-time histograms / push counters, the
+bus ``transactions`` counter, the ring ``packets_carried`` counter and the
+CPU ``retries`` counter.  A run that wants them attaches an observability
+hook, which keeps the machine interpreted (repro.elab.backend).
 
 Ring arrivals, tail-lag bounces and done relays are pushed with the same
 *content-derived* sequence keys the interpreter uses (no tie-break counter
@@ -122,22 +105,18 @@ def _push_keyed(ind: str, when: str, prio: int, key: str, cb: str, arg: str) -> 
     )
 
 
-def _grant_bus(ind: str, bus: str, arb: int, instr: bool = False) -> str:
+def _grant_bus(ind: str, bus: str, arb: int) -> str:
     """Inlined Bus._grant for a known-nonempty queue: requires ``engine``.
     Caller must have set ``{bus}._busy = True`` (or know it already is).
 
     The completion event carries the module-level ``_bus_complete`` with the
     bus packed into the arg tuple — no bound-method allocation per grant.
     The ``transactions`` counter is observability-only telemetry (see module
-    docstring): maintained only by the instrumented variant.
+    docstring) and is not maintained.
     """
-    text = (
+    return (
         f"{ind}duration, on_complete = {bus}._queue.popleft()\n"
         f"{ind}{bus}.busy.busy += duration\n"
-    )
-    if instr:
-        text += f"{ind}{bus}.transactions.value += 1\n"
-    return text + (
         f"{ind}now_g = engine.now\n"
         + _push_event(
             ind,
@@ -149,34 +128,15 @@ def _grant_bus(ind: str, bus: str, arb: int, instr: bool = False) -> str:
     )
 
 
-def _fifo_pop(ind: str, fifo: str, out: str, instr: bool = False) -> str:
+def _fifo_pop(ind: str, fifo: str, out: str) -> str:
     """Inlined Fifo.pop, keeping flow control; requires a local ``now``.
 
     The entry's enqueue tick lands in ``enq`` (several callers feed it into
     the canonical delay accumulators); the depth integral and wait-time
-    histogram are observability-only and maintained only by the
-    instrumented variant (module docstring).
+    histogram are observability-only and not maintained (module docstring).
     """
-    text = ""
-    if instr:
-        text += (
-            f"{ind}{fifo}._depth_area += "
-            f"len({fifo}._items) * (now - {fifo}._last_change)\n"
-            f"{ind}{fifo}._last_change = now\n"
-        )
-    text += f"{ind}{out}, enq = {fifo}._items.popleft()\n"
-    if instr:
-        text += (
-            f"{ind}wt = {fifo}.wait_time\n"
-            f"{ind}sample = now - enq\n"
-            f"{ind}wt.count += 1\n"
-            f"{ind}wt.total += sample\n"
-            f"{ind}if wt.min is None or sample < wt.min:\n"
-            f"{ind}    wt.min = sample\n"
-            f"{ind}if wt.max is None or sample > wt.max:\n"
-            f"{ind}    wt.max = sample\n"
-        )
-    return text + (
+    return (
+        f"{ind}{out}, enq = {fifo}._items.popleft()\n"
         f"{ind}if {fifo}._on_space:\n"
         f"{ind}    waiters, {fifo}._on_space = {fifo}._on_space, []\n"
         f"{ind}    for cb in waiters:\n"
@@ -184,18 +144,12 @@ def _fifo_pop(ind: str, fifo: str, out: str, instr: bool = False) -> str:
     )
 
 
-def _fifo_push(
-    ind: str,
-    fifo: str,
-    item: str,
-    capacity: int | None = None,
-    instr: bool = False,
-) -> str:
+def _fifo_push(ind: str, fifo: str, item: str, capacity: int | None = None) -> str:
     """Inlined Fifo.push at local ``now``; bounded when capacity given.
 
     Flow control (capacity, ``max_depth`` — the watchdog and the deadlock
     tests read it) is kept; the depth integral and push counter are
-    observability-only and maintained only by the instrumented variant."""
+    observability-only and not maintained."""
     text = f"{ind}items = {fifo}._items\n"
     if capacity is not None:
         text += (
@@ -203,41 +157,24 @@ def _fifo_push(
             f'{ind}    raise FifoFullError(f"{{{fifo}.name}} overflow '
             f'(capacity={capacity})")\n'
         )
-    if instr:
-        text += (
-            f"{ind}{fifo}._depth_area += "
-            f"len(items) * (now - {fifo}._last_change)\n"
-            f"{ind}{fifo}._last_change = now\n"
-        )
-    text += f"{ind}items.append(({item}, now))\n"
-    if instr:
-        text += f"{ind}{fifo}.pushes.value += 1\n"
-    text += (
+    return text + (
+        f"{ind}items.append(({item}, now))\n"
         f"{ind}depth = len(items)\n"
         f"{ind}if depth > {fifo}.max_depth:\n"
         f"{ind}    {fifo}.max_depth = depth\n"
     )
-    return text
 
 
 def _ring_send(
-    ind: str,
-    ring: str,
-    pos: str,
-    pkt: str,
-    size: int,
-    slot: int,
-    hop: int,
-    instr: bool = False,
+    ind: str, ring: str, pos: str, pkt: str, size: int, slot: int, hop: int,
 ) -> str:
     """Inlined Ring._send: leaves the transmission start tick in ``start``
     (requires locals ``engine`` and ``now``).  The arrival is pushed with
     its *content* key (no counter draw) carrying the module-level
     ``_ring_arrive`` with the ring packed into the arg — no bound-method
     allocation per hop.  The ``packets_carried`` counter is
-    observability-only telemetry, maintained only by the instrumented
-    variant."""
-    text = (
+    observability-only telemetry and not maintained."""
+    return (
         f"{ind}link_free = {ring}._link_free\n"
         f"{ind}start = link_free[{pos}]\n"
         f"{ind}if now > start:\n"
@@ -245,35 +182,15 @@ def _ring_send(
         f"{ind}occupy = {pkt}.flits * {slot}\n"
         f"{ind}link_free[{pos}] = start + occupy\n"
         f"{ind}{ring}.busy.busy += occupy\n"
-    )
-    if instr:
-        text += f"{ind}{ring}.packets_carried.value += 1\n"
-    text += f"{ind}np = ({pos} + 1) % {size}\n"
-    return text + _push_keyed(
-        ind,
-        f"start + {hop}",
-        0,
-        f"{ring}._abase | np",
-        "_ring_arrive",
-        f"({ring}, np, {pkt})",
-    )
-
-
-def _stamp_pkt(ind: str, pkt: str, label: str, t: str) -> str:
-    """Tracer stamp at an interpreted stamp site (instrumented variant only).
-
-    ``Tracer.stamp_pkt`` is inlined — requester lookup, active-transaction
-    fetch, line-address guard, stamp append — because the call overhead
-    alone costs ~20% of a traced hot-spot run.  It records but never
-    schedules, preserving (events_run, now) bit-identity."""
-    return (
-        f"{ind}tr = self.tracer\n"
-        f"{ind}if tr is not None:\n"
-        f"{ind}    _req = {pkt}.requester\n"
-        f"{ind}    if _req is not None:\n"
-        f"{ind}        _rec = tr.active.get(_req)\n"
-        f"{ind}        if _rec is not None and _rec.addr == {pkt}.addr:\n"
-        f'{ind}            _rec.stamps.append(({t}, "{label}"))\n'
+        f"{ind}np = ({pos} + 1) % {size}\n"
+        + _push_keyed(
+            ind,
+            f"start + {hop}",
+            0,
+            f"{ring}._abase | np",
+            "_ring_arrive",
+            f"({ring}, np, {pkt})",
+        )
     )
 
 
@@ -334,7 +251,6 @@ def generate_source(ir: MachineIR) -> str:
     seq_t = C["SEQ"]
     sizes = ir.ring_sizes
     size0 = sizes[0]
-    instr = bool(ir.instrumented)
     # the active coherence plug-in supplies the engine base classes and
     # their DISPATCH transition tables (repro.protocol); the generated
     # subclasses extend those, not the protocol-agnostic bases
@@ -352,7 +268,6 @@ def generate_source(ir: MachineIR) -> str:
     w("whenever the config, package version or generator source changes.")
     w('"""')
     w(f'FINGERPRINT = "{ir.fingerprint}"')
-    w(f"INSTRUMENTED = {instr}")
     w(f'PROTOCOL = "{proto.name}"')
     w("")
     w("from bisect import insort as _insort")
@@ -429,14 +344,6 @@ def generate_source(ir: MachineIR) -> str:
     w('            if p is not None and p["la"] == on_complete[1]:')
     w('                p["tries"] += 1')
     w("                engine = cc.engine")
-    if instr:
-        w('                cc.stats.counter("retries").incr()')
-        w("                tr = cc.tracer")
-        w("                if tr is not None:")
-        w("                    _rec = tr.active.get(cc.cpu_id)")
-        w("                    if _rec is not None:")
-        w("                        _rec.retries += 1")
-        w('                        _rec.stamps.append((engine.now, "nack"))')
     w(_push_event("                ", "engine.now + cc._retry", 1,
                   "_cpu_send_request", "cc").rstrip())
     w("    else:")
@@ -445,7 +352,7 @@ def generate_source(ir: MachineIR) -> str:
     w("        bus._busy = False")
     w("        return")
     w("    engine = bus.engine")
-    w(_grant_bus("    ", "bus", arb, instr).rstrip())
+    w(_grant_bus("    ", "bus", arb).rstrip())
     w("")
     w("")
     w("def _port_issue(arg):")
@@ -455,7 +362,7 @@ def generate_source(ir: MachineIR) -> str:
     w("    if not bus._busy:")
     w("        bus._busy = True")
     w("        engine = port.engine")
-    w(_grant_bus("        ", "bus", arb, instr).rstrip())
+    w(_grant_bus("        ", "bus", arb).rstrip())
     w("    port._busy = False")
     w("    pq = port._queue")
     w("    if pq:")
@@ -490,7 +397,7 @@ def generate_source(ir: MachineIR) -> str:
     w("        if not self._busy:")
     w("            self._busy = True")
     w("            engine = self.engine")
-    w(_grant_bus(i3, "self", arb, instr).rstrip())
+    w(_grant_bus(i3, "self", arb).rstrip())
     w("")
     w("")
     w("class ElabPort(OrderedPort):")
@@ -532,8 +439,7 @@ def generate_source(ir: MachineIR) -> str:
         w("    def inject(self, pos, packet):")
         w("        engine = self.engine")
         w("        now = engine.now")
-        w(_ring_send(i2, "self", "pos", "packet", size, slot, hop,
-                     instr).rstrip())
+        w(_ring_send(i2, "self", "pos", "packet", size, slot, hop).rstrip())
         w("        return start")
         w("")
         w("    forward = inject")
@@ -550,11 +456,6 @@ def generate_source(ir: MachineIR) -> str:
     w("        engine = self.engine")
     w("        if packet.born < 0:")
     w("            packet.born = engine.now")
-    if instr:
-        # interp stamps before the credit check, so credit-waiting packets
-        # carry the stamp at original send time (release_credit re-stamps
-        # nothing)
-        w(_stamp_pkt(i2, "packet", "ri.send", "engine.now").rstrip())
     w("        if not packet.mtype.sinkable:")
     w("            if self._nonsink_credits == 0:")
     w("                self._pending_out.append(packet)")
@@ -583,7 +484,7 @@ def generate_source(ir: MachineIR) -> str:
     w("        f = self.out_fifo")
     w("        engine = self.engine")
     w("        now = engine.now")
-    w(_fifo_push(i2, "f", "packet", instr=instr).rstrip())
+    w(_fifo_push(i2, "f", "packet").rstrip())
     w("        self._pump_out()")
     w("")
     w("    def _pump_out(self):")
@@ -595,7 +496,7 @@ def generate_source(ir: MachineIR) -> str:
     w("        self._out_busy = True")
     w("        engine = self.engine")
     w("        now = engine.now")
-    w(_fifo_pop(i2, "f", "packet", instr).rstrip())
+    w(_fifo_pop(i2, "f", "packet").rstrip())
     w("        if packet.route_state == 0 and (packet.dest_mask & F0_MASK) == self._MYBIT:")
     w(_push_event(i3, "now", 1, "self._local_loopback", "packet").rstrip())
     w("            self._out_busy = False")
@@ -603,12 +504,10 @@ def generate_source(ir: MachineIR) -> str:
     w("            return")
     w("        ring = self.ring")
     w("        pos = self.pos")
-    w(_ring_send(i2, "ring", "pos", "packet", size0, slot, hop, instr).rstrip())
+    w(_ring_send(i2, "ring", "pos", "packet", size0, slot, hop).rstrip())
     w("        enq = packet.send_enq")
     w("        packet.send_enq = -1")
     w('        self.stats.accumulator("send_delay").add(start - enq if enq >= 0 else 0)')
-    if instr:
-        w(_stamp_pkt(i2, "packet", "ring.inject", "start").rstrip())
     w(f"        done = start + packet.flits * {slot}")
     w(_push_keyed(i2, "done", 1, "self._out_done_key",
                   "self._out_done", "None").rstrip())
@@ -637,7 +536,7 @@ def generate_source(ir: MachineIR) -> str:
     w("            now = engine.now")
     w("            ring = self.ring")
     w("            pos = self.pos")
-    w(_ring_send(i3, "ring", "pos", "packet", size0, slot, hop, instr).rstrip())
+    w(_ring_send(i3, "ring", "pos", "packet", size0, slot, hop).rstrip())
     w("            return")
     w("        fld = packet.dest_mask & F0_MASK")
     w("        mybit = self._MYBIT")
@@ -655,7 +554,7 @@ def generate_source(ir: MachineIR) -> str:
     w("            now = engine.now")
     w("            ring = self.ring")
     w("            pos = self.pos")
-    w(_ring_send(i3, "ring", "pos", "packet", size0, slot, hop, instr).rstrip())
+    w(_ring_send(i3, "ring", "pos", "packet", size0, slot, hop).rstrip())
     w("")
     # the tail-lag bounce carries the arrival-derived content key (see
     # interfaces._accept); _local_loopback / _accept_seq are inherited —
@@ -673,10 +572,8 @@ def generate_source(ir: MachineIR) -> str:
     w("    def _accept_body(self, packet):")
     w("        now = self.engine.now")
     w("        packet.arr = now")
-    if instr:
-        w(_stamp_pkt(i2, "packet", "ri.arrive", "now").rstrip())
     w("        f = self.in_fifo")
-    w(_fifo_push(i2, "f", "packet", capacity=C["IN_CAP"], instr=instr).rstrip())
+    w(_fifo_push(i2, "f", "packet", capacity=C["IN_CAP"]).rstrip())
     w("        if depth >= IN_HW:")
     w("            ring = self.ring")
     w(_halt_link(i3, "ring", "self.pos", size0).rstrip())
@@ -685,7 +582,7 @@ def generate_source(ir: MachineIR) -> str:
     w("            f2 = self.in_fifo")
     w("            self._handler_busy = True")
     w("            engine = self.engine")
-    w(_fifo_pop(i3, "f2", "pkt2", instr).rstrip())
+    w(_fifo_pop(i3, "f2", "pkt2").rstrip())
     w(_push_event(i3, "now + HANDLER", 1, "self._handler_done", "pkt2").rstrip())
     w("")
     w("    def _pump_handler(self):")
@@ -697,13 +594,13 @@ def generate_source(ir: MachineIR) -> str:
     w("        self._handler_busy = True")
     w("        engine = self.engine")
     w("        now = engine.now")
-    w(_fifo_pop(i2, "f", "packet", instr).rstrip())
+    w(_fifo_pop(i2, "f", "packet").rstrip())
     w(_push_event(i2, "now + HANDLER", 1, "self._handler_done", "packet").rstrip())
     w("")
     w("    def _handler_done(self, packet):")
     w("        now = self.engine.now")
     w("        f = self.sink_q if packet.mtype.sinkable else self.nonsink_q")
-    w(_fifo_push(i2, "f", "packet", instr=instr).rstrip())
+    w(_fifo_push(i2, "f", "packet").rstrip())
     w("        self._handler_busy = False")
     w("        self._pump_handler()")
     w("        self._pump_drain()")
@@ -721,7 +618,7 @@ def generate_source(ir: MachineIR) -> str:
     w("            return")
     w("        self._drain_busy = True")
     w("        now = self.engine.now")
-    w(_fifo_pop(i2, "f", "packet", instr).rstrip())
+    w(_fifo_pop(i2, "f", "packet").rstrip())
     w("        cycles = CMD + (LINE_T if packet.data is not None else 0)")
     w("        self.bus_granter(")
     w("            cycles, lambda start, p=packet, k=kind: self._bus_done(p, k)")
@@ -734,8 +631,6 @@ def generate_source(ir: MachineIR) -> str:
     w("        if arr < 0:")
     w("            arr = now")
     w('        self.stats.accumulator("down_delay_" + kind).add(now - arr)')
-    if instr:
-        w(_stamp_pkt(i2, "packet", "ri.deliver", "now").rstrip())
     w("        self._drain_busy = False")
     w("        if not packet.mtype.sinkable:")
     w("            credit_home = packet.credit_home")
@@ -795,11 +690,9 @@ def generate_source(ir: MachineIR) -> str:
         w("    def _enqueue_up(self, packet):")
         w("        engine = self.engine")
         w("        now = engine.now")
-        if instr:
-            w(_stamp_pkt(i2, "packet", "iri.up_enq", "now").rstrip())
         w("        packet.up_enq = now")
         w("        f = self.up_fifo")
-        w(_fifo_push(i2, "f", "packet", capacity=C["IRI_CAP"], instr=instr).rstrip())
+        w(_fifo_push(i2, "f", "packet", capacity=C["IRI_CAP"]).rstrip())
         w("        if depth >= IRI_HW:")
         w("            child = self.child")
         w(_halt_link(i3, "child", "self.child_pos", ch_size).rstrip())
@@ -814,7 +707,7 @@ def generate_source(ir: MachineIR) -> str:
         w("        self._up_busy = True")
         w("        engine = self.engine")
         w("        now = engine.now")
-        w(_fifo_pop(i2, "f", "packet", instr).rstrip())
+        w(_fifo_pop(i2, "f", "packet").rstrip())
         w(_push_event(i2, "now + SWITCH", 1, "self._inject_parent", "packet").rstrip())
         w("")
         w("    def _inject_parent(self, packet):")
@@ -826,13 +719,10 @@ def generate_source(ir: MachineIR) -> str:
         w("        now = engine.now")
         w("        parent = self.parent")
         w("        pos = self.parent_pos")
-        w(_ring_send(i2, "parent", "pos", "packet", p_size, slot, hop,
-                     instr).rstrip())
+        w(_ring_send(i2, "parent", "pos", "packet", p_size, slot, hop).rstrip())
         w("        enq = packet.up_enq")
         w("        packet.up_enq = -1")
         w('        self.stats.accumulator("up_delay").add(start - enq if enq >= 0 else 0)')
-        if instr:
-            w(_stamp_pkt(i2, "packet", "iri.up_inject", "start").rstrip())
         w(f"        done = start + packet.flits * {slot}")
         w(_push_keyed(i2, "done", 1, "self._up_done_key",
                       "self._up_done", "None").rstrip())
@@ -883,10 +773,8 @@ def generate_source(ir: MachineIR) -> str:
         w("        engine = self.engine")
         w("        now = engine.now")
         w("        packet.down_enq = now")
-        if instr:
-            w(_stamp_pkt(i2, "packet", "iri.down_enq", "now").rstrip())
         w("        f = self.down_fifo")
-        w(_fifo_push(i2, "f", "packet", capacity=C["IRI_CAP"], instr=instr).rstrip())
+        w(_fifo_push(i2, "f", "packet", capacity=C["IRI_CAP"]).rstrip())
         w("        if depth >= IRI_HW:")
         w("            parent = self.parent")
         w(_halt_link(i3, "parent", "self.parent_pos", p_size).rstrip())
@@ -901,7 +789,7 @@ def generate_source(ir: MachineIR) -> str:
         w("        self._down_busy = True")
         w("        engine = self.engine")
         w("        now = engine.now")
-        w(_fifo_pop(i2, "f", "packet", instr).rstrip())
+        w(_fifo_pop(i2, "f", "packet").rstrip())
         w(_push_event(i2, "now + SWITCH", 1, "self._inject_child", "packet").rstrip())
         w("")
         w("    def _inject_child(self, packet):")
@@ -909,13 +797,10 @@ def generate_source(ir: MachineIR) -> str:
         w("        now = engine.now")
         w("        child = self.child")
         w("        pos = self.child_pos")
-        w(_ring_send(i2, "child", "pos", "packet", ch_size, slot, hop,
-                     instr).rstrip())
+        w(_ring_send(i2, "child", "pos", "packet", ch_size, slot, hop).rstrip())
         w("        enq = packet.down_enq")
         w("        packet.down_enq = -1")
         w('        self.stats.accumulator("down_delay").add(start - enq if enq >= 0 else 0)')
-        if instr:
-            w(_stamp_pkt(i2, "packet", "iri.down_inject", "start").rstrip())
         w(f"        done = start + packet.flits * {slot}")
         w(_push_keyed(i2, "done", 1, "self._down_done_key",
                       "self._down_done", "None").rstrip())
@@ -954,7 +839,7 @@ def generate_source(ir: MachineIR) -> str:
         w("    self._busy = True")
         w("    engine = self.engine")
         w("    now = engine.now")
-        w(_fifo_pop("    ", "f", "pkt", instr).rstrip())
+        w(_fifo_pop("    ", "f", "pkt").rstrip())
         w(_push_event("    ", f"now + {latency}", 1, "self._service", "pkt").rstrip())
         w("")
         w("")
@@ -965,25 +850,17 @@ def generate_source(ir: MachineIR) -> str:
         w("    def handle(self, pkt):")
         w("        engine = self.engine")
         w("        now = engine.now")
-        if instr:
-            w(_stamp_pkt(i2, "pkt", f"{svc}.in", "now").rstrip())
         w("        f = self.in_fifo")
-        w(_fifo_push(i2, "f", "pkt", instr=instr).rstrip())
+        w(_fifo_push(i2, "f", "pkt").rstrip())
         w("        if self._busy:")
         w("            return")
         w("        self._busy = True")
-        if instr:
-            # full Fifo.pop telemetry: the pop lands at the push tick, so
-            # the depth-area delta is 0 and the wait sample is exactly 0 —
-            # identical to the interpreted push-then-pump sequence
-            w(_fifo_pop(i2, "f", "pkt2", instr).rstrip())
-        else:
-            w("        # Fifo.pop inlined (handle just pushed, so nonempty)")
-            w("        pkt2, enq = items.popleft()")
-            w("        if f._on_space:")
-            w("            waiters, f._on_space = f._on_space, []")
-            w("            for cb in waiters:")
-            w("                cb()")
+        w("        # Fifo.pop inlined (handle just pushed, so nonempty)")
+        w("        pkt2, enq = items.popleft()")
+        w("        if f._on_space:")
+        w("            waiters, f._on_space = f._on_space, []")
+        w("            for cb in waiters:")
+        w("                cb()")
         w(_push_event(i2, f"now + {latency}", 1, "self._service", "pkt2").rstrip())
         w("")
         w("    def _pump(self):")
@@ -995,13 +872,11 @@ def generate_source(ir: MachineIR) -> str:
         w("        self._busy = True")
         w("        engine = self.engine")
         w("        now = engine.now")
-        w(_fifo_pop(i2, "f", "pkt", instr).rstrip())
+        w(_fifo_pop(i2, "f", "pkt").rstrip())
         w(_push_event(i2, f"now + {latency}", 1, "self._service", "pkt").rstrip())
         w("")
         if svc == "nc":
             w("    def _service(self, pkt):")
-            if instr:
-                w(_stamp_pkt(i2, "pkt", "nc.svc", "self.engine.now").rstrip())
             w("        mtype = pkt.mtype")
             w('        if pkt.meta.get("local"):')
             w("            if mtype is _WRITE_BACK:")
@@ -1015,8 +890,6 @@ def generate_source(ir: MachineIR) -> str:
                           "self._done_key", done_fn, "self").rstrip())
         else:
             w("    def _service(self, pkt):")
-            if instr:
-                w(_stamp_pkt(i2, "pkt", "mem.svc", "self.engine.now").rstrip())
             w("        entry = self.directory.entry(pkt.addr & LINE_MASK)")
             w("        extra = _MEM_H[pkt.mtype._value_](")
             w('            self, pkt, entry, bool(pkt.meta.get("local"))')
@@ -1146,14 +1019,6 @@ def generate_source(ir: MachineIR) -> str:
     w("        pkt.mtype = mtype")
     w("        pkt.pid = next_pid()")
     w('        pkt.meta["retry"] = True')
-    if instr:
-        # inlined Tracer.stamp — this runs once per issue *and* retry, the
-        # single hottest CPU-side stamp site
-        w("    tr = self.tracer")
-        w("    if tr is not None:")
-        w("        _rec = tr.active.get(self.cpu_id)")
-        w("        if _rec is not None:")
-        w('            _rec.stamps.append((self.engine.now, "cpu.send"))')
     w("    st = self.station")
     w("    home = la // SMB")
     w("    if home == st.station_id:")
@@ -1168,7 +1033,7 @@ def generate_source(ir: MachineIR) -> str:
     w("    if not bus._busy:")
     w("        bus._busy = True")
     w("        engine = self.engine")
-    w(_grant_bus(i2, "bus", arb, instr).rstrip())
+    w(_grant_bus(i2, "bus", arb).rstrip())
     w("")
     w("")
     w("class ElabCPU(Processor):")
@@ -1181,14 +1046,6 @@ def generate_source(ir: MachineIR) -> str:
     w("            return")
     w('        p["tries"] += 1')
     w("        engine = self.engine")
-    if instr:
-        w('        self.stats.counter("retries").incr()')
-        w("        tr = self.tracer")
-        w("        if tr is not None:")
-        w("            _rec = tr.active.get(self.cpu_id)")
-        w("            if _rec is not None:")
-        w("                _rec.retries += 1")
-        w('                _rec.stamps.append((engine.now, "nack"))')
     w(_push_event(i2, "engine.now + self._retry", 1,
                   "_cpu_send_request", "self").rstrip())
     w("")

@@ -80,18 +80,13 @@ class MachineIR:
     ring_sizes: Dict[int, int] = field(default_factory=dict)  # level -> size
     stations: List[StationIR] = field(default_factory=list)
     iris: List[IriIR] = field(default_factory=list)
-    #: when True the generated core carries tracer stamps and the
-    #: observability-only telemetry (FIFO depth/wait integrals, bus
-    #: transactions, ring packets_carried, CPU retries) inline — a separate
-    #: fingerprint axis, so both variants coexist in the module store
-    instrumented: bool = False
     #: coherence-protocol plug-in whose DISPATCH tables the generated core
-    #: compiles into dense dispatch — a third fingerprint axis
+    #: compiles into dense dispatch — a fingerprint axis
     protocol: str = "numachine"
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_machine(cls, machine, instrumented: bool = False) -> "MachineIR":
+    def from_machine(cls, machine) -> "MachineIR":
         config = machine.config
         codec = machine.codec
         geometry = config.geometry
@@ -186,7 +181,7 @@ class MachineIR:
 
         protocol = getattr(machine, "protocol_name", "numachine")
         return cls(
-            fingerprint=config_elab_fingerprint(config, instrumented, protocol),
+            fingerprint=config_elab_fingerprint(config, protocol),
             num_levels=num_levels,
             levels=levels,
             num_stations=config.num_stations,
@@ -194,17 +189,14 @@ class MachineIR:
             ring_sizes=ring_sizes,
             stations=stations,
             iris=iris,
-            instrumented=instrumented,
             protocol=protocol,
         )
 
 
-def config_elab_fingerprint(
-    config, instrumented: bool = False, protocol: str = "numachine",
-) -> str:
+def config_elab_fingerprint(config, protocol: str = "numachine") -> str:
     """Digest identifying a generated module: full config, package version,
-    generator digest, instrumentation axis, coherence protocol.  Any
-    mismatch forces regeneration."""
+    generator digest, coherence protocol.  Any mismatch forces
+    regeneration."""
     import dataclasses
 
     from repro import __version__
@@ -213,7 +205,6 @@ def config_elab_fingerprint(
         {
             "generator": GENERATOR_DIGEST,
             "version": __version__,
-            "instrumented": bool(instrumented),
             "protocol": str(protocol),
             "config": dataclasses.asdict(config),
         },

@@ -4,11 +4,10 @@ Generated modules live under ``<cache>/elab/elab_<fingerprint>.py`` where
 ``<cache>`` follows the same conventions as the sweep-result cache
 (:mod:`repro.perf.cache`): ``NUMACHINE_CACHE_DIR`` or ``.numachine_cache``
 under the current working directory.  The fingerprint (config + package
-version + generator source digest + the ``instrumented`` axis, see
-:mod:`repro.elab.ir`) is embedded in both the filename and the module's
-``FINGERPRINT`` constant, so a stale module can never be picked up after a
-config or code change — its name simply no longer matches — and the plain /
-instrumented variants of one config coexist as separate entries.
+version + generator source digest + protocol, see :mod:`repro.elab.ir`) is
+embedded in both the filename and the module's ``FINGERPRINT`` constant, so
+a stale module can never be picked up after a config or code change — its
+name simply no longer matches.  There is one module per config.
 
 * ``NUMACHINE_CACHE=0`` disables the disk layer entirely (modules are
   generated and executed in memory every time);

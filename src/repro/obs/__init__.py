@@ -25,11 +25,12 @@ perturbing them; this package is the simulator's equivalent.  It bundles:
 
 Every instrumentation hook in the simulator defaults to ``None`` and costs
 one attribute load plus an ``is not None`` test when disabled, so machines
-without an attached ``Observability`` run the PR 1 fast paths unchanged.
-Under ``NUMACHINE_BACKEND=elab`` (or ``auto``) an attached ``Observability``
-does not fall back to the interpreter: the run executes on the
-*instrumented* variant of the generated specialized core, which carries
-the tracer stamps and telemetry inline (see :mod:`repro.elab.backend`).
+without an attached ``Observability`` run the fast paths unchanged.
+An attached ``Observability`` keeps the machine on the interpreted backend,
+like every other hook: the generated specialized core has no stamp sites and
+drops the telemetry the probes read (see :mod:`repro.elab.backend`).
+Observed runs are therefore slower than plain elab runs, but the canonical
+surface is unchanged.
 """
 
 from __future__ import annotations

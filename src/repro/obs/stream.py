@@ -12,10 +12,8 @@ per-CPU completion progress — to a JSONL file, flushed per line so
 
 The emitter only *reads* simulator state; like the probes it adds its own
 sampling events to the event count but never changes simulated time or the
-order of the machine's own events.  Under ``NUMACHINE_BACKEND=elab`` a
-streamed run executes on the *instrumented* specialized core (see
-:mod:`repro.elab.backend`) — the stream itself is engine-level and
-survives the class swap untouched.
+order of the machine's own events.  A streamed run executes interpreted,
+as every observed run does (see :mod:`repro.elab.backend`).
 """
 
 from __future__ import annotations

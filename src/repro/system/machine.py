@@ -65,8 +65,6 @@ class Machine:
         self.protocol_name = self.protocol.name
         self._elab_applied = False
         self._elab_failed = False
-        # which elab variant is in place: None | "plain" | "instr"
-        self._elab_variant = None
         self.engine = Engine(num_cpus=self.config.num_cpus)
         self.net: Interconnect = build_interconnect(self.engine, self.config)
         self.codec = self.net.codec
@@ -135,11 +133,11 @@ class Machine:
         tracer + time-series probes + optional telemetry stream) across all
         components.
 
-        Observability does *not* force the interpreted backend: the next
-        :meth:`run` selects the instrumented elab variant, which carries
-        the tracer stamps and telemetry inline (see repro.elab.backend).
-        The revert here only re-points the component classes while the
-        engine is drained, so the swap to the instrumented core is legal.
+        Like every hook, observability keeps the machine on the
+        interpreted backend: the generated core has no tracer stamp sites
+        and drops the telemetry the probes read (see repro.elab.backend).
+        The tracer only records, so a traced run matches an untraced run
+        of either backend on the canonical surface.
         """
         self._ensure_interp()
         obs.attach(self)
@@ -184,12 +182,6 @@ class Machine:
         """The backend currently in place: ``"elab"`` when the generated
         specialized core is active, else ``"interp"``."""
         return "elab" if self._elab_applied else "interp"
-
-    @property
-    def backend_variant(self) -> Optional[str]:
-        """Which elab variant is active: ``"plain"``, ``"instr"``, or
-        ``None`` when running interpreted."""
-        return self._elab_variant if self._elab_applied else None
 
     def _ensure_interp(self) -> None:
         from ..elab import backend as _backend

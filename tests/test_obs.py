@@ -481,6 +481,37 @@ def test_tracing_off_is_bit_identical_and_tracing_never_shifts_time():
     assert traced.obs.tracer.finished
 
 
+@pytest.mark.parametrize("nprocs", [4, 16, 64])
+def test_traced_interp_bit_identical_to_plain_elab(nprocs):
+    """A traced run executes interpreted, the untraced one on the plain
+    elab core.  Tracing records but never reschedules, so both share the
+    event stream and the canonical surface."""
+    plain = Machine(MachineConfig.prototype(), backend="elab")
+    HotSpot(words=16, ops=20).run(plain, nprocs=nprocs)
+    assert plain.backend == "elab"
+
+    traced = Machine(MachineConfig.prototype(), backend="elab")
+    Observability(probes=False).attach(traced)  # tracer only: no extra events
+    HotSpot(words=16, ops=20).run(traced, nprocs=nprocs)
+    assert traced.backend == "interp"
+
+    assert canonical_surface(traced) == canonical_surface(plain)
+    assert traced.obs.tracer.finished
+
+
+def test_traced_rerun_after_plain_elab_run():
+    """One machine: a plain run on the elab core, then attach
+    observability and run again.  The swap to interp happens on the
+    drained engine and the second run is traced."""
+    machine = Machine(MachineConfig.prototype(), backend="elab")
+    HotSpot(words=16, ops=10).run(machine, nprocs=4)
+    assert machine.backend == "elab"
+    obs = Observability(probes=False).attach(machine)
+    HotSpot(words=16, ops=10).run(machine, nprocs=4)
+    assert machine.backend == "interp"
+    assert obs.tracer.finished
+
+
 @pytest.mark.parametrize("backend", ["interp", "elab"])
 def test_untraced_hotspot16_replays_pinned_event_stream(backend):
     """Untraced, the hot-spot P=16 run replays the event count and final
